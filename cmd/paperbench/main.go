@@ -63,9 +63,6 @@ func main() {
 
 	failed := 0
 	for _, r := range results {
-		if !*jsonOut {
-			fmt.Println(r)
-		}
 		if !r.Passed() {
 			failed++
 		}
@@ -83,7 +80,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		fmt.Printf("%d/%d experiments passed all checks\n", len(results)-failed, len(results))
+		fmt.Print(experiments.Report(results))
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -55,6 +55,23 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Report renders results exactly as `paperbench` prints them (and as the
+// committed docs/paperbench-*.txt records hold them): every report in
+// order, then a pass-count line.
+func Report(results []*Result) string {
+	var b strings.Builder
+	passed := 0
+	for _, r := range results {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+		if r.Passed() {
+			passed++
+		}
+	}
+	fmt.Fprintf(&b, "%d/%d experiments passed all checks\n", passed, len(results))
+	return b.String()
+}
+
 func (r *Result) check(name, paper, measured string, ok bool) {
 	r.Checks = append(r.Checks, Check{Name: name, Paper: paper, Measured: measured, OK: ok})
 }

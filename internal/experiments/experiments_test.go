@@ -1,16 +1,27 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsPass runs the full reproduction suite at Small scale:
-// every paper-vs-measured check must hold.
+// every paper-vs-measured check must hold, and the rendered report must
+// match the committed docs/paperbench-small.txt byte for byte (regenerate
+// it with `go run ./cmd/paperbench -exp all > docs/paperbench-small.txt`
+// when a change is meant to move it).
 func TestAllExperimentsPass(t *testing.T) {
 	results, err := RunAll(Small)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../docs/paperbench-small.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Report(results); got != string(want) {
+		t.Errorf("rendered report differs from docs/paperbench-small.txt at line %d", firstDiffLine(got, string(want)))
 	}
 	if len(results) != len(IDs()) {
 		t.Fatalf("got %d results for %d experiments", len(results), len(IDs()))
@@ -91,4 +102,16 @@ func TestFig1bChecks(t *testing.T) {
 	if !found93 {
 		t.Error("fig1b should check the 93% utilization claim")
 	}
+}
+
+// firstDiffLine returns the 1-based number of the first line at which a
+// and b differ.
+func firstDiffLine(a, b string) int {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return i + 1
+		}
+	}
+	return min(len(la), len(lb)) + 1
 }
