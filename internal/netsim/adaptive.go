@@ -52,7 +52,7 @@ func (r AdaptiveHypercube) NextPortAdaptive(cur, dst int, qlen func(port int) in
 func (s *Sim) routePort(v int, dst int32) int {
 	if ar, ok := s.Net.Router.(AdaptiveRouter); ok {
 		return ar.NextPortAdaptive(v, int(dst), func(port int) int {
-			return len(s.queues[v][port]) - s.qhead[v][port]
+			return s.arc(v, port).backlog()
 		})
 	}
 	return s.Net.Router.NextPort(v, int(dst))

@@ -130,6 +130,14 @@ func (pm *PortMap) N() int { return len(pm.off) - 1 }
 // Arity returns the number of ports at u.
 func (pm *PortMap) Arity(u int) int { return int(pm.off[u+1] - pm.off[u]) }
 
+// Arcs returns the number of ports, present or absent, over all nodes.
+func (pm *PortMap) Arcs() int { return int(pm.off[len(pm.off)-1]) }
+
+// ArcOffset returns the flat index of u's port 0: port p of u is arc
+// ArcOffset(u)+p, and u's ports end where u+1's begin, so per-port state
+// can live in one slice of Arcs() entries.
+func (pm *PortMap) ArcOffset(u int) int { return int(pm.off[u]) }
+
 // Port returns the neighbor behind port p of u, or -1 if the port is
 // absent.
 func (pm *PortMap) Port(u, p int) int32 { return pm.ports[pm.off[u]+uint32(p)] }

@@ -190,6 +190,9 @@ func TestPortMapFromRows(t *testing.T) {
 	if pm.Port(0, 1) != 2 || pm.Cap(2, 0) != 3 {
 		t.Error("values mismatch")
 	}
+	if pm.Arcs() != 3 || pm.ArcOffset(0) != 0 || pm.ArcOffset(1) != 2 || pm.ArcOffset(2) != 2 || pm.ArcOffset(3) != 3 {
+		t.Errorf("arc offsets: Arcs=%d, offsets %d %d %d %d", pm.Arcs(), pm.ArcOffset(0), pm.ArcOffset(1), pm.ArcOffset(2), pm.ArcOffset(3))
+	}
 }
 
 func TestFromTopology(t *testing.T) {
