@@ -1,10 +1,11 @@
 package netsim
 
 import (
+	"context"
 	"math"
-	"runtime"
 	"testing"
 
+	"ipg/internal/fault"
 	"ipg/internal/nucleus"
 	"ipg/internal/superipg"
 	"ipg/internal/topo"
@@ -77,23 +78,39 @@ func TestHSNOffChipPerPacket(t *testing.T) {
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	// The two-phase sharding must make results independent of GOMAXPROCS.
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var baseline Stats
-	for i, workers := range []int{1, 2, 7} {
-		runtime.GOMAXPROCS(workers)
-		net := mustHypercube(t, 7, 2, 4.0)
-		res, err := RunRandomUniform(net, 99, 0.4, 80, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			baseline = res.Stats
-			continue
-		}
-		if res.Stats != baseline {
-			t.Fatalf("workers=%d produced %+v, baseline %+v", workers, res.Stats, baseline)
+	// The two-phase sharding must make results independent of the shard
+	// count.  New runs networks this small inline at any GOMAXPROCS, so
+	// the shards are forced through newSim: inline against 2 and 7 shards,
+	// on a healthy network and on faulty ones whose misroutes draw from
+	// the per-node generators.
+	healthy := mustHypercube(t, 7, 2, 4.0)
+	nets := map[string]*Network{
+		"healthy":               healthy,
+		"node-faults-oblivious": degraded(t, healthy, fault.Spec{Mode: fault.Nodes, Count: 8, Seed: 3}, false),
+		"link-faults-aware":     degraded(t, healthy, fault.Spec{Mode: fault.Links, Count: 30, Seed: 4}, true),
+		"link-faults-oblivious": degraded(t, healthy, fault.Spec{Mode: fault.Links, Count: 30, Seed: 4}, false),
+	}
+	for name, net := range nets {
+		var baseline Stats
+		for i, workers := range []int{1, 2, 7} {
+			s, err := newSim(net, 99, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.shards) != workers {
+				t.Fatalf("%s: newSim(%d) built %d shards", name, workers, len(s.shards))
+			}
+			res, err := s.runRandom(context.Background(), 0.4, 80, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				baseline = res.Stats
+				continue
+			}
+			if res.Stats != baseline {
+				t.Fatalf("%s: %d shards produced %+v, inline %+v", name, workers, res.Stats, baseline)
+			}
 		}
 	}
 }
