@@ -47,11 +47,11 @@ func RunHotSpot(net *Network, seed int64, rate, hotFrac float64, hot int32, warm
 	}
 	n := int32(net.N)
 	s.SetInjector(func(u int, _ int32, emit func(dst int32)) {
-		rng := s.rngs[u]
-		if rng.Float64() >= rate {
+		rng := &s.rngs[u]
+		if rng.float64() >= rate {
 			return
 		}
-		if rng.Float64() < hotFrac {
+		if rng.float64() < hotFrac {
 			if int32(u) != hot {
 				emit(hot)
 			}
@@ -96,8 +96,8 @@ func LatencyProbe(net *Network, seed int64, rate float64, warmup, measure int, p
 	s.EnableLatencyHistogram(4 * (warmup + measure))
 	n := int32(net.N)
 	s.SetInjector(func(u int, _ int32, emit func(dst int32)) {
-		rng := s.rngs[u]
-		if rng.Float64() < rate {
+		rng := &s.rngs[u]
+		if rng.float64() < rate {
 			emit(pickOther(rng, n, int32(u)))
 		}
 	})
