@@ -154,11 +154,7 @@ func (d *DegradedView) Analyze(ctx context.Context) (*Report, error) {
 			hi = len(alive)
 		}
 		batch := alive[lo:hi]
-		if d.c != nil {
-			d.c.MSBFSMaskedInto(batch, scratch, set.VDead, set.ADead, ecc[:], sum[:], reached[:])
-		} else {
-			nbuf = topo.MSBFSMaskedSourceInto(d.src, batch, scratch, set.VDead, ecc[:], sum[:], reached[:], nbuf)
-		}
+		nbuf = topo.MSBFSMaskedSourceInto(d.src, batch, scratch, set.VDead, set.ADead, ecc[:], sum[:], reached[:], nil, nbuf)
 		for i, src := range batch {
 			if ecc[i] > diam {
 				diam = ecc[i]

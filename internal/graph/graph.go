@@ -275,7 +275,9 @@ func (g *Graph) IsRegular() (bool, int) {
 
 // BFS returns the distance from src to every vertex (-1 if unreachable).
 func (g *Graph) BFS(src int) []int32 {
-	return topo.BFS(g.ensure(), src)
+	dist := make([]int32, g.n)
+	g.ensure().BFSInto(src, dist, make([]int32, 0, g.n))
+	return dist
 }
 
 // Connected reports whether the graph is connected (true for N <= 1).

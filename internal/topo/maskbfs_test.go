@@ -31,8 +31,8 @@ func randomMasks(r *rand.Rand, c *CSR) (vdead, adead []uint64) {
 	return vdead, adead
 }
 
-// TestMaskedNilMasksMatchUnmasked: with nil masks the masked scalar BFS
-// must reproduce the plain kernel bit for bit.
+// TestMaskedNilMasksMatchUnmasked: with nil masks the general scalar
+// kernel must reproduce the tight CSR kernel bit for bit.
 func TestMaskedNilMasksMatchUnmasked(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -44,9 +44,9 @@ func TestMaskedNilMasksMatchUnmasked(t *testing.T) {
 		queue2 := make([]int32, 0, n)
 		for src := 0; src < n; src++ {
 			ecc, sum := c.BFSInto(src, dist, queue)
-			mecc, msum, reached := c.BFSMaskedInto(src, nil, nil, dist2, queue2)
-			// The unmasked kernel encodes disconnection as ecc = -1; the
-			// masked kernel reports the reached count instead.
+			mecc, msum, reached, _ := BFSMaskedSourceInto(c, src, nil, nil, dist2, queue2, nil)
+			// The tight kernel encodes disconnection as ecc = -1; the
+			// general kernel reports the reached count instead.
 			if ecc >= 0 {
 				if mecc != ecc || msum != sum || int(reached) != n {
 					t.Fatalf("trial %d src %d: masked (%d,%d,%d) vs unmasked (%d,%d)", trial, src, mecc, msum, reached, ecc, sum)
@@ -63,9 +63,9 @@ func TestMaskedNilMasksMatchUnmasked(t *testing.T) {
 	}
 }
 
-// TestMaskedMSBFSMatchesMaskedScalar: the bit-parallel masked kernel must
-// agree with the masked scalar BFS on ecc, distance sum, and reached count
-// for every source, under random vertex+arc masks.
+// TestMaskedMSBFSMatchesMaskedScalar: the general 64-source kernel must
+// agree with the general scalar kernel on ecc, distance sum, reached count
+// and every distance for every source, under random vertex+arc masks.
 func TestMaskedMSBFSMatchesMaskedScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -85,33 +85,48 @@ func TestMaskedMSBFSMatchesMaskedScalar(t *testing.T) {
 		ecc := make([]int32, len(sources))
 		sum := make([]int64, len(sources))
 		reached := make([]int32, len(sources))
-		c.MSBFSMaskedInto(sources, scratch, vdead, adead, ecc, sum, reached)
+		mdist := make([]int32, len(sources)*n)
+		MSBFSMaskedSourceInto(c, sources, scratch, vdead, adead, ecc, sum, reached, mdist, nil)
 		dist := make([]int32, n)
 		queue := make([]int32, 0, n)
 		for i, src := range sources {
-			secc, ssum, sreached := c.BFSMaskedInto(int(src), vdead, adead, dist, queue)
+			secc, ssum, sreached, _ := BFSMaskedSourceInto(c, int(src), vdead, adead, dist, queue, nil)
 			if ecc[i] != secc || sum[i] != ssum || reached[i] != sreached {
 				t.Fatalf("trial %d src %d: msbfs (%d,%d,%d) vs scalar (%d,%d,%d)",
 					trial, src, ecc[i], sum[i], reached[i], secc, ssum, sreached)
+			}
+			for v := 0; v < n; v++ {
+				if mdist[i*n+v] != dist[v] {
+					t.Fatalf("trial %d src %d: msbfs dist[%d] = %d, scalar %d", trial, src, v, mdist[i*n+v], dist[v])
+				}
 			}
 		}
 	}
 }
 
 // TestMaskedDeadSourcePanics: sweeping from a dead source is a programming
-// error the kernel refuses.
+// error both general kernels refuse.
 func TestMaskedDeadSourcePanics(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	c := randomCSR(t, r, 32, true)
 	vdead := NewBitset(32)
 	SetBit(vdead, 3)
+	mustPanic(t, "msbfs", func() {
+		MSBFSMaskedSourceInto(c, []int32{3}, NewMSBFSScratch(32), vdead, nil, make([]int32, 1), make([]int64, 1), make([]int32, 1), nil, nil)
+	})
+	mustPanic(t, "scalar", func() {
+		BFSMaskedSourceInto(c, 3, vdead, nil, make([]int32, 32), nil, nil)
+	})
+}
+
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for dead source")
+			t.Errorf("%s: expected a panic", name)
 		}
 	}()
-	scratch := NewMSBFSScratch(32)
-	c.MSBFSMaskedInto([]int32{3}, scratch, vdead, nil, make([]int32, 1), make([]int64, 1), make([]int32, 1))
+	f()
 }
 
 // TestArcAccessors pins the ArcIndex/ArcSource/ArcTarget/RowStart

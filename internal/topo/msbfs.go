@@ -1,26 +1,28 @@
 package topo
 
-//lint:file-ignore ctxflow MSBFS processes one 64-source batch per call; graph's batch drivers poll ctx between batches, bounding cancellation latency to one kernel invocation
+//lint:file-ignore ctxflow MSBFS processes one 64-source batch per call; graph's batch drivers and the fault census poll ctx between batches, bounding cancellation latency to one kernel invocation
 
 import "math/bits"
 
-// This file holds the batched multi-source BFS (MSBFS) kernel: up to 64
-// BFS traversals advance together through the CSR arena, one uint64
-// visited/frontier word per vertex, so every edge is scanned once per
-// *batch* instead of once per source.  All-sources sweeps (diameter,
-// average distance, the intercluster quotient metrics) are the dominant
-// cost of the paper's headline tables; batching cuts their arena traffic
-// by up to 64x and replaces the per-edge branch of the scalar kernel with
-// a handful of word operations.
+// This file holds the batched multi-source BFS (MSBFS) scratch, the tight
+// 64-source kernel over an unmasked CSR arena, and the MSBFSSourceInto
+// dispatcher (bfs.go lists all four kernels).  Up to 64 BFS traversals
+// advance together, one uint64 visited/frontier word per vertex, so every
+// edge is scanned once per *batch* instead of once per source.
+// All-sources sweeps (diameter, average distance, the intercluster
+// quotient metrics) are the dominant cost of the paper's headline tables;
+// batching cuts their arena traffic by up to 64x and replaces the
+// per-edge branch of the scalar kernel with a handful of word operations.
 //
-// The kernel is level-synchronous with a direction-optimizing switch: a
-// sparse frontier is expanded top-down (scan the frontier vertices'
-// rows), a dense one bottom-up (scan the rows of still-unfinished
-// vertices and gather frontier bits), following Beamer et al.'s
-// direction-optimizing BFS adapted to the bit-parallel setting.
+// Both 64-source kernels are level-synchronous with a
+// direction-optimizing switch: a sparse frontier is expanded top-down
+// (scan the frontier vertices' rows), a dense one bottom-up (scan the
+// rows of still-unfinished vertices and gather frontier bits), following
+// Beamer et al.'s direction-optimizing BFS adapted to the bit-parallel
+// setting.
 //
-// MSBFS requires a symmetric CSR: the bottom-up step reads Row(v) as the
-// in-neighbors of v, which is only correct when every arc has its
+// MSBFS requires symmetric adjacency: the bottom-up step reads Row(v) as
+// the in-neighbors of v, which is only correct when every arc has its
 // reverse.  Directed quotients must keep using the scalar BFSInto.
 
 // msbfsBatch is the source-batch width: one bit of a uint64 per source.
@@ -186,4 +188,22 @@ func (c *CSR) MSBFSInto(sources []int32, s *MSBFSScratch, ecc []int32, sum []int
 			ecc[i] = -1
 		}
 	}
+}
+
+// MSBFSSourceInto is MSBFSInto over any symmetric Source, with the same
+// contract (per-source ecc/sum, ecc[i] = -1 on disconnection, optional
+// flat strided dist).  nbuf is neighbor scratch, returned possibly grown.
+func MSBFSSourceInto(s Source, sources []int32, sc *MSBFSScratch, ecc []int32, sum []int64, dist []int32, nbuf []int32) []int32 {
+	if c, ok := s.(*CSR); ok {
+		c.MSBFSInto(sources, sc, ecc, sum, dist)
+		return nbuf
+	}
+	var reached [msbfsBatch]int32
+	nbuf = MSBFSMaskedSourceInto(s, sources, sc, nil, nil, ecc, sum, reached[:], dist, nbuf)
+	for i := range sources {
+		if int(reached[i]) != s.N() {
+			ecc[i] = -1
+		}
+	}
+	return nbuf
 }

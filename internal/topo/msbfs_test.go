@@ -159,8 +159,8 @@ func TestMSBFSScratchReuse(t *testing.T) {
 	}
 }
 
-// TestBFSGenericMatchesCSR pins the satellite fix: the interface fallback
-// must report disconnected components exactly like the CSR fast path.
+// TestBFSGenericMatchesCSR: the Source dispatcher's general path must
+// report disconnected components exactly like the tight CSR kernel.
 func TestBFSGenericMatchesCSR(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, connected := range []bool{true, false} {
@@ -171,7 +171,7 @@ func TestBFSGenericMatchesCSR(t *testing.T) {
 		gdist := make([]int32, n)
 		for src := 0; src < n; src++ {
 			wantEcc, wantSum := c.BFSInto(src, dist, queue)
-			gotEcc, gotSum, _ := BFSGenericInto(Topology(c), src, gdist, queue, nil)
+			gotEcc, gotSum, _ := BFSSourceInto(opaqueSource{c}, src, gdist, queue, nil)
 			if gotEcc != wantEcc || gotSum != wantSum {
 				t.Fatalf("src %d: generic ecc=%d sum=%d, CSR ecc=%d sum=%d",
 					src, gotEcc, gotSum, wantEcc, wantSum)

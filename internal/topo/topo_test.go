@@ -102,14 +102,14 @@ func TestBuildRejectsUnstableStream(t *testing.T) {
 
 func TestBFSOnRing(t *testing.T) {
 	c := ring(t, 8)
-	dist := BFS(c, 0)
+	dist := make([]int32, 8)
+	ecc, sum := c.BFSInto(0, dist, make([]int32, 0, 8))
 	want := []int32{0, 1, 2, 3, 4, 3, 2, 1}
 	for v, d := range want {
 		if dist[v] != d {
 			t.Fatalf("dist = %v, want %v", dist, want)
 		}
 	}
-	ecc, sum := c.BFSInto(0, make([]int32, 8), make([]int32, 0, 8))
 	if ecc != 4 || sum != 16 {
 		t.Errorf("BFSInto: ecc=%d sum=%d, want 4, 16", ecc, sum)
 	}
@@ -125,23 +125,26 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-// sliceTopo is a non-CSR Topology, exercising BFS's interface path.
-type sliceTopo [][]int32
+// sliceSource is a non-CSR Source, exercising BFSSourceInto's general
+// path.
+type sliceSource [][]int32
 
-func (s sliceTopo) N() int           { return len(s) }
-func (s sliceTopo) Degree(v int) int { return len(s[v]) }
-func (s sliceTopo) Neighbors(v int, buf []int32) []int32 {
+func (s sliceSource) N() int           { return len(s) }
+func (s sliceSource) DegreeBound() int { return 2 }
+func (s sliceSource) NeighborsInto(v int, buf []int32) []int32 {
 	return append(buf[:0], s[v]...)
 }
 
 func TestBFSInterfacePathMatchesCSR(t *testing.T) {
 	c := ring(t, 6)
-	var st sliceTopo
+	var st sliceSource
 	for v := 0; v < c.N(); v++ {
 		st = append(st, c.Neighbors(v, nil))
 	}
+	a, b := make([]int32, 6), make([]int32, 6)
 	for src := 0; src < 6; src++ {
-		a, b := BFS(c, src), BFS(st, src)
+		BFSSourceInto(c, src, a, nil, nil)
+		BFSSourceInto(st, src, b, nil, nil)
 		for v := range a {
 			if a[v] != b[v] {
 				t.Fatalf("src %d: CSR and interface BFS disagree at %d: %d vs %d", src, v, a[v], b[v])
