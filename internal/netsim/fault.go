@@ -5,12 +5,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ipg/internal/fault"
-	"ipg/internal/topo"
 )
 
 // This file degrades simulated networks with the failure models of
@@ -220,95 +216,22 @@ type FaultAwareRouter struct {
 }
 
 // NewFaultAwareRouter builds the distance table (O(N^2) memory, O(N*E)
-// time, destination-parallel like NewTableRouter).  Unreachable pairs are
-// not an error: that is precisely what a degraded network looks like.
+// time) with compileRoutes.  Unreachable pairs are not an error: that is
+// precisely what a degraded network looks like.
 func NewFaultAwareRouter(net *Network) (*FaultAwareRouter, error) {
 	n := net.N
-	if err := checkNodeCount(n); err != nil {
+	table, err := compileRoutes(net, "FaultAwareRouter", func(table []int16) routeVisitor {
+		return func(dst int, dist, _ []int16) error {
+			for u, d := range dist {
+				table[u*n+dst] = d
+			}
+			return nil
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	if n > 1<<14 {
-		return nil, fmt.Errorf("netsim: FaultAwareRouter limited to 16384 nodes, got %d", n)
-	}
-	r := &FaultAwareRouter{net: net, n: n, dist: make([]int16, n*n)}
-	for i := range r.dist {
-		r.dist[i] = -1
-	}
-	// Reverse adjacency over alive arcs only.
-	revOff := make([]uint32, n+1)
-	aliveArc := func(u, p int, v int32) bool {
-		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
-	}
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				i := cursor[v]
-				revSrc[i] = int32(u)
-				cursor[v] = i + 1
-			}
-		}
-	}
-	var next int64 = -1
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := topo.GetScratch(n)
-			defer topo.PutScratch(s)
-			queue := s.Queue
-			for {
-				dst := int(atomic.AddInt64(&next, 1))
-				if dst >= n {
-					return
-				}
-				if net.nodeDead(dst) {
-					continue // all -1: nothing can be delivered there
-				}
-				// Each destination writes only its own column (u*n+dst),
-				// so workers never touch the same entries.
-				r.dist[dst*n+dst] = 0
-				queue = queue[:0]
-				queue = append(queue, int32(dst))
-				for qi := 0; qi < len(queue); qi++ {
-					v := queue[qi]
-					dv := r.dist[int(v)*n+dst]
-					for i := revOff[v]; i < revOff[v+1]; i++ {
-						u := revSrc[i]
-						if r.dist[int(u)*n+dst] < 0 {
-							r.dist[int(u)*n+dst] = dv + 1
-							queue = append(queue, u)
-						}
-					}
-				}
-				// Write any reallocated queue back so the pool keeps the
-				// grown buffer instead of the stale pre-append slice.
-				s.Queue = queue
-			}
-		}()
-	}
-	wg.Wait()
-	return r, nil
+	return &FaultAwareRouter{net: net, n: n, dist: table}, nil
 }
 
 // NextPort implements Router: the lowest alive port on a shortest alive

@@ -5,13 +5,10 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ipg/internal/ist"
-	"ipg/internal/topo"
 )
 
 // This file routes around failures with independent spanning trees.  A
@@ -107,171 +104,72 @@ type MultipathRouter struct {
 	UnreachablePairs atomic.Int64
 }
 
-// NewMultipathRouter builds the forwarding table, one destination per
-// worker (O(N^2) memory like the other table routers).  treeFor is
-// consulted once per alive destination; its trees must be rooted on the
-// healthy topology at that destination.
+// NewMultipathRouter builds the forwarding table with compileRoutes
+// (O(N^2) memory like the other table routers).  treeFor is consulted
+// once per alive destination; its trees must be rooted on the healthy
+// topology at that destination.
 func NewMultipathRouter(net *Network, treeFor TreeSource) (*MultipathRouter, error) {
-	n := net.N
-	if err := checkNodeCount(n); err != nil {
-		return nil, err
-	}
-	if n > 1<<14 {
-		return nil, fmt.Errorf("netsim: MultipathRouter limited to 16384 nodes, got %d", n)
-	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	r := &MultipathRouter{net: net, n: n, port: make([]int16, n*n)}
-	for i := range r.port {
-		r.port[i] = -1
-	}
-	revOff, revSrc := aliveReverseCSR(net)
-	var next int64 = -1
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := topo.GetScratch(n)
-			defer topo.PutScratch(s)
-			dist := make([]int16, n)  // alive distance to dst, fallback tier
-			var state []int8          // per (tree, vertex): 0 unknown, 1 alive, 2 dead
-			var walk []int32          // upward-walk stack for memoization
-			var tp, fp, up int64      // local counters, flushed once
-			for {
-				dst := int(atomic.AddInt64(&next, 1))
-				if dst >= n {
-					break
+	n := net.N
+	r := &MultipathRouter{net: net, n: n}
+	port, err := compileRoutes(net, "MultipathRouter", func(port []int16) routeVisitor {
+		var state []int8 // per (tree, vertex): 0 unknown, 1 alive, 2 dead
+		var walk []int32 // upward-walk stack for memoization
+		return func(dst int, dist, _ []int16) error {
+			trees, err := treeFor(dst)
+			if err != nil {
+				return fmt.Errorf("netsim: multipath trees for destination %d: %w", dst, err)
+			}
+			if trees.N != n || trees.Root != dst {
+				return fmt.Errorf("netsim: tree source returned (N=%d root=%d) for destination %d of %d nodes", trees.N, trees.Root, dst, n)
+			}
+			k := trees.K
+			if cap(state) < k*n {
+				state = make([]int8, k*n)
+			}
+			state = state[:k*n]
+			for i := range state {
+				state[i] = 0
+			}
+			var tp, fp, up int64
+			for u := 0; u < n; u++ {
+				if u == dst || net.nodeDead(u) {
+					continue
 				}
-				if net.nodeDead(dst) {
-					continue // all -1: nothing can be delivered there
-				}
-				trees, err := treeFor(dst)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("netsim: multipath trees for destination %d: %w", dst, err)
-					}
-					errMu.Unlock()
-					break
-				}
-				if trees.N != n || trees.Root != dst {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("netsim: tree source returned (N=%d root=%d) for destination %d of %d nodes", trees.N, trees.Root, dst, n)
-					}
-					errMu.Unlock()
-					break
-				}
-				k := trees.K
-				if cap(state) < k*n {
-					state = make([]int8, k*n)
-				}
-				state = state[:k*n]
-				for i := range state {
-					state[i] = 0
-				}
-				// Fallback tier: alive distances to dst by reverse BFS,
-				// shared with FaultAwareRouter's arc convention.
-				for i := range dist {
-					dist[i] = -1
-				}
-				dist[dst] = 0
-				queue := s.Queue[:0]
-				queue = append(queue, int32(dst))
-				for qi := 0; qi < len(queue); qi++ {
-					v := queue[qi]
-					dv := dist[v]
-					for i := revOff[v]; i < revOff[v+1]; i++ {
-						u := revSrc[i]
-						if dist[u] < 0 {
-							dist[u] = dv + 1
-							queue = append(queue, u)
-						}
+				assigned := false
+				for t := 0; t < k; t++ {
+					if walk = treeAlive(net, trees, state, t, u, walk); state[t*n+u] == 1 {
+						port[u*n+dst] = alivePortTo(net, u, trees.Parent(t, u))
+						tp++
+						assigned = true
+						break
 					}
 				}
-				s.Queue = queue
-
-				for u := 0; u < n; u++ {
-					if u == dst || net.nodeDead(u) {
-						continue
-					}
-					assigned := false
-					for t := 0; t < k; t++ {
-						if walk = treeAlive(net, trees, state, t, u, walk); state[t*n+u] == 1 {
-							r.port[u*n+dst] = alivePortTo(net, u, trees.Parent(t, u))
-							tp++
-							assigned = true
-							break
-						}
-					}
-					if assigned {
-						continue
-					}
-					if dist[u] > 0 {
-						r.port[u*n+dst] = fallbackPort(net, dist, u)
-						fp++
-						continue
-					}
-					up++
+				if assigned {
+					continue
 				}
+				// Fallback tier: the alive shortest-path distances the
+				// compiler handed over.
+				if dist[u] > 0 {
+					port[u*n+dst] = fallbackPort(net, dist, u)
+					fp++
+					continue
+				}
+				up++
 			}
 			r.TreePairs.Add(tp)
 			r.FallbackPairs.Add(fp)
 			r.UnreachablePairs.Add(up)
-		}()
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	r.port = port
 	return r, nil
-}
-
-// aliveReverseCSR builds the reverse adjacency over alive arcs, the
-// same arc filter FaultAwareRouter uses for its distance tables.
-func aliveReverseCSR(net *Network) ([]uint32, []int32) {
-	n := net.N
-	revOff := make([]uint32, n+1)
-	aliveArc := func(u, p int, v int32) bool {
-		return v >= 0 && int(v) != u && !net.nodeDead(u) && !net.portDead(u, p)
-	}
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if aliveArc(u, p, v) {
-				i := cursor[v]
-				//lint:ignore indextrunc u < n <= 16384, well under math.MaxInt32
-				revSrc[i] = int32(u)
-				cursor[v] = i + 1
-			}
-		}
-	}
-	return revOff, revSrc
 }
 
 // treeAlive resolves (memoized) whether vertex v's tree-t root path
@@ -333,7 +231,7 @@ func alivePortTo(net *Network, u, w int) int16 {
 func fallbackPort(net *Network, dist []int16, u int) int16 {
 	d := dist[u]
 	for p, v := range net.Ports.PortRow(u) {
-		if v >= 0 && !net.portDead(u, p) && !net.nodeDead(int(v)) && dist[v] == d-1 {
+		if v >= 0 && !net.portDead(u, p) && dist[v] == d-1 {
 			//lint:ignore indextrunc ports per node are bounded by PortMap arity, far below MaxInt16
 			return int16(p)
 		}

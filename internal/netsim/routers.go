@@ -1,12 +1,9 @@
 package netsim
 
-//lint:file-ignore ctxflow router table construction runs once per network, capped by serve's SimMaxNodes check and by the explicit 16384-node TableRouter limit
+//lint:file-ignore ctxflow router table construction runs once per network, capped by serve's SimMaxNodes check and by the 16384-node table limit of compileRoutes
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ipg/internal/ipg"
 	"ipg/internal/superipg"
@@ -188,118 +185,27 @@ type TableRouter struct {
 	table []int16
 }
 
-// NewTableRouter builds the table (O(N^2) memory, O(N*E) time).  The
-// reverse adjacency is a flat count-then-fill arena (no per-node slice
-// headers), and the per-destination reverse BFS runs destination-parallel
-// over a worker pool: each destination writes only its own table column,
-// so workers never touch the same entries.  Discovery order within each
-// BFS — source ascending, then port ascending — is identical to the
-// serial build, so the minimal-port tie-breaks and therefore the table
-// are bit-identical, worker count notwithstanding.
+// NewTableRouter builds the table (O(N^2) memory, O(N*E) time) with
+// compileRoutes: table[u*n+dst] is the port on which the reverse BFS
+// from dst discovered u.  The router is meant for healthy networks, so
+// every node must reach every other.
 func NewTableRouter(net *Network) (*TableRouter, error) {
 	n := net.N
-	if err := checkNodeCount(n); err != nil {
+	table, err := compileRoutes(net, "TableRouter", func(table []int16) routeVisitor {
+		return func(dst int, dist, via []int16) error {
+			for u, p := range via {
+				if dist[u] < 0 {
+					return fmt.Errorf("netsim: network disconnected (node %d cannot reach %d)", u, dst)
+				}
+				table[u*n+dst] = p
+			}
+			return nil
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	if n > 1<<14 {
-		return nil, fmt.Errorf("netsim: TableRouter limited to 16384 nodes, got %d", n)
-	}
-	tr := &TableRouter{n: n, table: make([]int16, n*n)}
-	for i := range tr.table {
-		tr.table[i] = -1
-	}
-	// Reverse adjacency with originating port, as flat arenas: the
-	// reverse arcs into v are (revSrc[i], revPort[i]) for i in
-	// [revOff[v], revOff[v+1]), in (source asc, port asc) order because
-	// both passes iterate sources then ports ascending.
-	revOff := make([]uint32, n+1)
-	for u := 0; u < n; u++ {
-		for _, v := range net.Ports.PortRow(u) {
-			if v >= 0 && int(v) != u {
-				revOff[v+1]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		revOff[v+1] += revOff[v]
-	}
-	revSrc := make([]int32, revOff[n])
-	revPort := make([]int16, revOff[n])
-	cursor := make([]uint32, n)
-	copy(cursor, revOff[:n])
-	for u := 0; u < n; u++ {
-		for p, v := range net.Ports.PortRow(u) {
-			if v >= 0 && int(v) != u {
-				i := cursor[v]
-				revSrc[i] = int32(u)
-				revPort[i] = int16(p)
-				cursor[v] = i + 1
-			}
-		}
-	}
-
-	var firstErr error
-	var errMu sync.Mutex
-	var next int64 = -1
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := topo.GetScratch(n)
-			defer topo.PutScratch(s)
-			dist := s.Dist
-			queue := s.Queue
-			for {
-				dst := int(atomic.AddInt64(&next, 1))
-				if dst >= n {
-					return
-				}
-				for i := range dist {
-					dist[i] = -1
-				}
-				dist[dst] = 0
-				queue = queue[:0]
-				queue = append(queue, int32(dst))
-				for qi := 0; qi < len(queue); qi++ {
-					v := queue[qi]
-					for i := revOff[v]; i < revOff[v+1]; i++ {
-						u := revSrc[i]
-						if dist[u] < 0 {
-							dist[u] = dist[v] + 1
-							tr.table[int(u)*n+dst] = revPort[i]
-							queue = append(queue, u)
-						}
-					}
-				}
-				// Write any reallocated queue back so the pool keeps the
-				// grown buffer instead of the stale pre-append slice.
-				s.Queue = queue
-				for u := 0; u < n; u++ {
-					if dist[u] < 0 {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("netsim: network disconnected (node %d cannot reach %d)", u, dst)
-						}
-						errMu.Unlock()
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return tr, nil
+	return &TableRouter{n: n, table: table}, nil
 }
 
 // NextPort implements Router.
