@@ -122,7 +122,12 @@ func getRaw(t *testing.T, rawURL string) (int, []byte) {
 // the victim's keys must rehash onto the survivors, and the rebuilt
 // documents must be byte-identical to the pre-kill ones.
 func TestClusterKillTolerance(t *testing.T) {
+	// No timer hedge: under -race an owner's build can outlast the
+	// default delay, and a hedge leg would build the key a second time.
+	// Failover on a refused connection (the kill phase) does not use the
+	// timer; TestHedgeWinsAgainstSlowOwner covers the hedge.
 	replicas := startTestCluster(t, 3, cluster.Config{
+		HedgeDelay:       -1,
 		BreakerThreshold: 1, // first refused connection cuts the peer out
 		BreakerCooldown:  time.Hour,
 	}, nil)
